@@ -1,7 +1,7 @@
 """Overhead of the runtime contract layer on the Figure-5 sweep.
 
 Solves the E-mail load sweep (one utilization chain per background
-probability, same grid as ``bench_engine.py``) with contracts on (the
+probability, utilizations 0.05-0.55) with contracts on (the
 default) and contracts off (``REPRO_CONTRACTS=off``) and records the
 results in ``BENCH_contracts.json`` at the repository root.
 

@@ -20,7 +20,7 @@ class ContractViolation(ValueError):
     check:
         Name of the violated check (e.g. ``"check_generator"``).
     subject:
-        Name of the offending object (e.g. ``"A0+A1+A2"``, ``"initial_r"``,
+        Name of the offending object (e.g. ``"A0+A1+A2"``, ``"R"``,
         ``"cache entry 3f2a..."``).
     detail:
         Human-readable description of the violation.

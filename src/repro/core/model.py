@@ -171,7 +171,6 @@ class FgBgModel:
         self,
         algorithm: str = "logarithmic-reduction",
         tol: float = 1e-12,
-        initial_r: np.ndarray | None = None,
         escalate: bool = False,
     ) -> FgBgSolution:
         """Solve the model and return all stationary metrics.
@@ -180,14 +179,9 @@ class FgBgModel:
         ----------
         algorithm:
             R-matrix algorithm: ``"logarithmic-reduction"`` (default),
-            ``"newton"``, ``"natural"`` or ``"functional"``.
+            ``"natural"`` or ``"functional"``.
         tol:
             Convergence tolerance of the R iteration.
-        initial_r:
-            Optional warm-start iterate for the R matrix, e.g.
-            ``solution.qbd_solution.r`` of a nearby parameter point; see
-            :func:`repro.qbd.rmatrix.r_matrix`.  Warm-started results
-            agree with cold solves to solver tolerance.
         escalate:
             Enable the truncated dense-chain rung of the escalation
             ladder (see :func:`repro.qbd.stationary.solve_qbd`): when
@@ -209,8 +203,7 @@ class FgBgModel:
             )
         qbd, space = self._qbd_and_space
         qbd_solution = solve_qbd(
-            qbd, algorithm=algorithm, tol=tol, initial_r=initial_r,
-            escalate=escalate,
+            qbd, algorithm=algorithm, tol=tol, escalate=escalate
         )
         return compute_metrics(
             space=space,

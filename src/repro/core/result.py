@@ -69,7 +69,7 @@ class FgBgSolution:
     @property
     def solve_stats(self) -> SolveStats | None:
         """Diagnostics of the R-matrix solve behind this solution
-        (iterations, wall time, algorithm, ``sp(R)``, warm start)."""
+        (iterations, wall time, algorithm, ``sp(R)``, fallbacks)."""
         return self.qbd_solution.solve_stats
 
     def as_dict(self) -> dict[str, float]:

@@ -1,4 +1,4 @@
-"""Sweep execution engine: parallel solves, caching, R-matrix warm starts.
+"""Sweep execution engine: deduplicated, cached, cold (optionally batched) solves.
 
 * :mod:`~repro.engine.engine` -- :class:`SweepEngine`, the executor.
 * :mod:`~repro.engine.config` -- :class:`EngineConfig`, the frozen,

@@ -6,7 +6,8 @@ parameters, so two structurally identical models -- however they were
 constructed -- share one cache entry.  The cache is two-level: a plain
 in-memory dictionary, plus an optional on-disk directory of pickled
 solutions (one file per key) that persists across processes and runs and
-is shared by the worker processes of a parallel sweep.
+is shared by every process that opens the same directory (e.g. the job
+workers of one queue).
 
 The on-disk layer uses :mod:`pickle`; only point it at directories you
 trust, exactly as you would with numpy's ``allow_pickle``.

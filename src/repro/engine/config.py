@@ -1,17 +1,16 @@
 """One frozen configuration object for the sweep engine.
 
-:class:`SweepEngine` grew one keyword argument per PR --
-``jobs``/``cache``/``warm_start``/``batched``/``on_error``/``escalate``/
-``chain_timeout_ms``/... -- and every caller that wants to *store* or
-*transport* a configuration (the CLI, the background-job specs of
-:mod:`repro.jobs`, a benchmark matrix) had to re-spell the sprawl.
-:class:`EngineConfig` consolidates it: a frozen, validated, JSON-round-
-trippable dataclass accepted by ``SweepEngine(config=...)``,
-:func:`~repro.experiments.sweeps.sweep` and ``sweep_many``, and reused
-verbatim as the ``engine`` section of a :class:`~repro.jobs.JobSpec`.
+Every caller that wants to *store* or *transport* a configuration of
+:class:`SweepEngine` (the CLI, the background-job specs of
+:mod:`repro.jobs`, a benchmark matrix) uses :class:`EngineConfig`: a
+frozen, validated, JSON-round-trippable dataclass accepted by
+``SweepEngine(config=...)``, :func:`~repro.experiments.sweeps.sweep` and
+``sweep_many``, and reused verbatim as the ``engine`` section of a :class:`~repro.jobs.JobSpec`.
 
-Legacy keyword arguments keep working everywhere and override the
-matching config field; the two spellings are tested equivalent.
+Keyword arguments of :class:`SweepEngine` override the matching config
+field; the two spellings are tested equivalent.  Configs serialized before
+the engine lost its worker pool and warm starts still load: their retired
+keys are dropped on read.
 """
 
 from __future__ import annotations
@@ -26,18 +25,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.cache import SolveCache
     from repro.engine.engine import SweepEngine
 
-__all__ = [
-    "DEFAULT_MAX_RETRIES",
-    "DEFAULT_RETRY_BACKOFF_MS",
-    "EngineConfig",
-]
+__all__ = ["EngineConfig"]
 
-#: Bounded-requeue depth: how many times a crashed/hung worker chain is
-#: re-submitted to a fresh pool before the parent solves it in-process.
-DEFAULT_MAX_RETRIES = 2
-
-#: Backoff before the first chain re-submission; doubles per retry round.
-DEFAULT_RETRY_BACKOFF_MS = 100.0
+#: Fields of older configs that no longer exist: the worker-pool and
+#: warm-start knobs.  None of them ever changed a solution, so
+#: :meth:`EngineConfig.from_dict` drops them instead of rejecting the job
+#: specs and HTTP payloads written while they existed.
+_RETIRED_FIELDS = frozenset(
+    {"jobs", "warm_start", "max_retries", "retry_backoff_ms", "chain_timeout_ms"}
+)
 
 
 @dataclass(frozen=True)
@@ -53,22 +49,15 @@ class EngineConfig:
     that exists is a valid engine configuration.
     """
 
-    jobs: int = 1
     cache_dir: str | None = None
     cache_memory: bool = False
-    warm_start: bool = False
     batched: bool = False
     algorithm: str = "logarithmic-reduction"
     tol: float = 1e-12
     on_error: str = "raise"
     escalate: bool = False
-    max_retries: int = DEFAULT_MAX_RETRIES
-    retry_backoff_ms: float = DEFAULT_RETRY_BACKOFF_MS
-    chain_timeout_ms: float | None = None
 
     def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.batched and self.algorithm != "logarithmic-reduction":
             raise ValueError(
                 "batched solving supports only the logarithmic-reduction "
@@ -77,18 +66,6 @@ class EngineConfig:
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         validate_on_error(self.on_error)
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.retry_backoff_ms < 0:
-            raise ValueError(
-                f"retry_backoff_ms must be >= 0, got {self.retry_backoff_ms}"
-            )
-        if self.chain_timeout_ms is not None and self.chain_timeout_ms <= 0:
-            raise ValueError(
-                f"chain_timeout_ms must be positive, got {self.chain_timeout_ms}"
-            )
 
     # ------------------------------------------------------------------
     # Derived objects
@@ -128,9 +105,11 @@ class EngineConfig:
     def from_dict(cls, payload: dict) -> "EngineConfig":
         """Rebuild a config serialized by :meth:`as_dict`.
 
-        Unknown keys raise: a config written by a newer schema must not
+        The retired worker-pool and warm-start keys are dropped.  Any other
+        unknown key raises: a config written by a newer schema must not
         silently lose settings on an older reader.
         """
+        payload = {k: v for k, v in payload.items() if k not in _RETIRED_FIELDS}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:

@@ -1,7 +1,7 @@
 """Failure isolation for the solve/sweep pipeline.
 
 A 40-point sweep must not lose 39 healthy points to one divergent
-R-matrix, singular boundary solve, crashed worker or corrupt cache entry.
+R-matrix, singular boundary solve or corrupt cache entry.
 This module defines the vocabulary the engine uses to degrade gracefully:
 
 * the ``on_error`` modes of :class:`~repro.engine.SweepEngine`,
@@ -19,7 +19,7 @@ This module defines the vocabulary the engine uses to degrade gracefully:
 
 * :class:`FailedSolve`, the structured failure record: which model (by
   fingerprint), which pipeline stage, what went wrong, the solver
-  attempt log (escalation-ladder rungs, worker retries) and whatever
+  attempt log (escalation-ladder rungs, quarantined cache paths) and whatever
   :class:`~repro.qbd.rmatrix.SolveStats` the failed solve produced.
 
 Failures never turn into numbers: a failed point is NaN in every series,
@@ -50,7 +50,6 @@ FAILURE_STAGES = (
     "solve",  # a sequential model solve (R matrix, boundary, metrics)
     "batched",  # an item of a batched kernel call
     "cache-load",  # a corrupt on-disk cache entry (quarantined, re-solved)
-    "worker",  # a crashed or hung worker process
 )
 
 
@@ -105,8 +104,8 @@ class FailedSolve:
         silently swallowed, whatever the ``on_error`` mode.
     attempts:
         Attempt log: escalation-ladder rungs tried
-        (``"logarithmic-reduction"``, ``"functional"``, ...), worker
-        retries, quarantined cache paths -- whatever the stage recorded
+        (``"logarithmic-reduction"``, ``"functional"``, ...),
+        quarantined cache paths -- whatever the stage recorded
         before giving up.
     solve_stats:
         Solver diagnostics of the failed solve, when any iteration got

@@ -23,19 +23,15 @@ def build_config(args) -> EngineConfig | None:
     byte-comparison record in EXPERIMENTS.md was made against.
     """
     if (
-        args.jobs == 1
-        and args.cache is None
-        and not args.warm_start
+        args.cache is None
         and not args.batched
         and args.on_error == "raise"
         and not args.escalate
     ):
         return None
     return EngineConfig(
-        jobs=args.jobs,
         cache_dir=args.cache if args.cache else None,
         cache_memory=args.cache == "",
-        warm_start=args.warm_start,
         batched=args.batched,
         on_error=args.on_error,
         escalate=args.escalate,
@@ -81,14 +77,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="use a smaller sample size for the trace-based Figure 1",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for sweep curves (default 1: serial); "
-        "output is identical to a serial run",
-    )
-    parser.add_argument(
         "--cache",
         nargs="?",
         const="",
@@ -97,12 +85,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="cache solves in memory across figures; with DIR, also "
         "persist them on disk across runs (and record per-figure "
         "completion in DIR/run-manifest.json for --resume)",
-    )
-    parser.add_argument(
-        "--warm-start",
-        action="store_true",
-        help="seed each R-matrix solve with the previous point of the "
-        "sweep (results agree with cold solves to solver tolerance)",
     )
     parser.add_argument(
         "--batched",
@@ -149,8 +131,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "without re-solving (the job-queue form of --resume)",
     )
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.resume and args.cache in (None, ""):
         parser.error("--resume needs an on-disk cache: pass --cache DIR")
     if args.via_jobs is not None and args.resume:

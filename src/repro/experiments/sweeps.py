@@ -3,14 +3,10 @@
 The generic entry point is :func:`sweep`: a base model, a
 :class:`SweepAxis` describing which parameter varies, and a metric (a
 string key of :data:`repro.core.METRICS` or a callable).  Solves are
-executed through a :class:`~repro.engine.SweepEngine`, which supplies
-caching, R-matrix warm-starting and -- via :func:`sweep_many` --
-parallelism across curves.
-
-The pre-engine entry points ``load_sweep_series`` and
-``idle_wait_sweep_series`` were deprecated when the engine landed and
-have been removed; ``python -m tools.reprolint --fix`` still rewrites
-surviving call sites to the equivalent :func:`sweep_many` form (RL010).
+executed through a :class:`~repro.engine.SweepEngine`, which
+deduplicates and caches points and solves the rest cold -- one at a time,
+or with ``batched=True`` in stacked kernel calls that (via
+:func:`sweep_many`) span every curve of the sweep.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ class SweepAxis:
     transform: Callable[[FgBgModel, float], FgBgModel]
 
     def models(self, base_model: FgBgModel) -> list[FgBgModel]:
-        """The chain of models along this axis (warm-start friendly order)."""
+        """The chain of models along this axis, in axis order."""
         return [self.transform(base_model, value) for value in self.values]
 
     def x(self) -> np.ndarray:
@@ -175,10 +171,9 @@ def sweep_many(
 ) -> list[Series]:
     """One curve per background probability along ``axis``.
 
-    Each probability is an independent chain, so an engine with
-    ``jobs > 1`` solves the curves in parallel; ``batched=True`` (without
+    Each probability is an independent chain; ``batched=True`` (without
     an explicit engine) pools every curve's points into stacked kernel
-    calls instead.  ``config`` builds the engine from a full
+    calls.  ``config`` builds the engine from a full
     :class:`~repro.engine.EngineConfig` (see :func:`sweep`).  ``on_error``
     (also only consulted when no engine is supplied) isolates per-point
     failures as NaN, exactly as in :func:`sweep`.

@@ -76,8 +76,8 @@ KNOWN_FAULT_POINTS = frozenset(
         # repro.qbd.boundary.solve_boundary: raise a singular-system
         # LinAlgError before the solve.
         "singular_boundary",
-        # repro.engine.engine._run_chain_worker and
-        # repro.jobs.worker.JobWorker.execute: SIGKILL the worker.
+        # repro.jobs.worker.JobWorker.execute: SIGKILL the job worker
+        # process before it runs the claimed job.
         "worker_kill",
         # repro.engine.cache.SolveCache.put: truncate the pickle just
         # written, simulating torn writes / bit rot.

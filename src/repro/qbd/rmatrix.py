@@ -2,19 +2,18 @@
 
 ``R`` is the minimal non-negative solution of ``A0 + R A1 + R^2 A2 = 0``;
 ``G`` the minimal non-negative solution of ``A2 + A1 G + A0 G^2 = 0``.
-Four algorithms are provided:
+Three algorithms are provided:
 
 * functional iteration on R (Neuts' classic fixed point) -- simple,
-  linearly convergent, seedable with an initial iterate;
-* Newton's method on R (Latouche 1994) -- quadratically convergent and
-  seedable; the warm-start vehicle of the sweep engine;
+  linearly convergent;
 * "natural" U-based iteration on G -- linearly convergent with better
   constants;
 * logarithmic reduction on G (Latouche & Ramaswami 1993) -- quadratically
   convergent, the default.
 
 All operate on the CTMC (generator) form of the blocks.  :func:`r_matrix`
-orchestrates them (warm starts, fallbacks) and can report per-solve
+runs one cold solve with the requested algorithm, escalates through the
+others when it fails to converge, and can report per-solve
 :class:`SolveStats`.
 """
 
@@ -24,18 +23,15 @@ import os
 import time
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from repro.contracts.checks import (
-    certify_spectral_radius_below_one,
-    check_finite,
     check_generator,
     check_nonnegative,
     check_r_matrix,
     contracts_enabled,
 )
-from repro.contracts.errors import ContractViolation
 from repro.faults import fire as _fault_fire
 from repro.markov.stationary import stationary_distribution
 
@@ -50,25 +46,12 @@ __all__ = [
     "r_matrix_functional_iteration",
     "r_matrix_natural_iteration",
     "r_matrix_logarithmic_reduction",
-    "r_matrix_newton",
     "r_matrix_from_g",
     "g_matrix_logarithmic_reduction",
 ]
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 2_000_000
-
-#: Iteration budget of a warm-started functional iteration before falling
-#: back to a cold solve (a useful warm start converges in far fewer).
-WARM_MAX_ITER = 50_000
-
-#: Newton is quadratically convergent; if it has not converged in this many
-#: steps it never will.
-NEWTON_MAX_ITER = 64
-
-#: Newton solves an m^2 x m^2 linear system per step; beyond this phase
-#: count the warm path falls back to the seeded functional iteration.
-NEWTON_MAX_PHASES = 32
 
 #: Default wall-time budget of the linearly convergent escalation rungs
 #: (functional / natural fallback inside :func:`r_matrix`).  Override with
@@ -173,9 +156,6 @@ class SolveStats:
         Wall-clock time of the whole solve in milliseconds.
     spectral_radius:
         ``sp(R)`` of the accepted solution -- the geometric tail decay.
-    warm_started:
-        True when the accepted ``R`` came from an iteration seeded with a
-        caller-provided initial iterate.
     fallbacks:
         Names of the iterations that were tried and abandoned first.
     degraded:
@@ -191,7 +171,6 @@ class SolveStats:
     iterations: int
     wall_time_ms: float
     spectral_radius: float
-    warm_started: bool = False
     fallbacks: tuple[str, ...] = field(default=())
     degraded: bool = False
     truncation_level: int | None = None
@@ -203,7 +182,6 @@ class SolveStats:
             "iterations": self.iterations,
             "wall_time_ms": self.wall_time_ms,
             "spectral_radius": self.spectral_radius,
-            "warm_started": self.warm_started,
             "fallbacks": list(self.fallbacks),
             "degraded": self.degraded,
             "truncation_level": self.truncation_level,
@@ -219,14 +197,15 @@ def _closed_classes(a: np.ndarray) -> list[np.ndarray]:
     scale = max(float(np.max(np.abs(np.diag(a)))), 1.0)
     adjacency = (a > 1e-14 * scale)
     np.fill_diagonal(adjacency, False)
-    graph = nx.from_numpy_array(adjacency, create_using=nx.DiGraph)
-    closed = []
-    for component in nx.strongly_connected_components(graph):
-        indices = np.fromiter(component, dtype=int)
-        outside = np.setdiff1d(np.arange(a.shape[0]), indices)
-        if outside.size == 0 or not np.any(adjacency[np.ix_(indices, outside)]):
-            closed.append(np.sort(indices))
-    return closed
+    count, labels = connected_components(
+        adjacency, directed=True, connection="strong"
+    )
+    # A component is closed when no edge leaves it: mark the source
+    # component of every edge whose endpoints carry different labels.
+    rows, cols = np.nonzero(adjacency)
+    leaking = np.zeros(count, dtype=bool)
+    leaking[labels[rows[labels[rows] != labels[cols]]]] = True
+    return [np.flatnonzero(labels == c) for c in range(count) if not leaking[c]]
 
 
 def drift(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> float:
@@ -273,7 +252,6 @@ def _functional_impl(
     a2: np.ndarray,
     tol: float,
     max_iter: int,
-    initial_r: np.ndarray | None = None,
     time_budget_ms: float | None = None,
 ) -> tuple[np.ndarray, int]:
     """Functional iteration returning ``(R, iterations)``."""
@@ -281,12 +259,7 @@ def _functional_impl(
     a1 = np.asarray(a1, float)
     a2 = np.asarray(a2, float)
     inv_neg_a1 = np.linalg.inv(-a1)
-    if initial_r is None:
-        r = np.zeros_like(a0)
-    else:
-        # A non-negative seed keeps every iterate non-negative ((-A1)^{-1}
-        # is non-negative because -A1 is an M-matrix).
-        r = np.clip(np.asarray(initial_r, float), 0.0, None)
+    r = np.zeros_like(a0)
     started_at = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
@@ -294,8 +267,7 @@ def _functional_impl(
             r_next = (a0 + r @ r @ a2) @ inv_neg_a1
             if not np.all(np.isfinite(r_next)):
                 raise QBDConvergenceError(
-                    "functional iteration overflowed (divergent initial "
-                    "iterate?)",
+                    "functional iteration overflowed",
                     iterations=it,
                 )
             delta = float(np.max(np.abs(r_next - r)))
@@ -315,79 +287,12 @@ def r_matrix_functional_iteration(
     a2: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    initial_r: np.ndarray | None = None,
 ) -> np.ndarray:
     """Neuts' fixed-point iteration ``R <- -(A0 + R^2 A2) A1^{-1}``.
 
-    Converges monotonically from ``R = 0`` to the minimal solution; an
-    ``initial_r`` close to the solution (e.g. the R of an adjacent sweep
-    point) cuts the iteration count dramatically.
+    Converges monotonically from ``R = 0`` to the minimal solution.
     """
-    return _functional_impl(a0, a1, a2, tol, max_iter, initial_r)[0]
-
-
-def _newton_impl(
-    a0: np.ndarray,
-    a1: np.ndarray,
-    a2: np.ndarray,
-    tol: float,
-    max_iter: int,
-    initial_r: np.ndarray | None = None,
-) -> tuple[np.ndarray, int]:
-    """Newton's method on ``F(R) = A0 + R A1 + R^2 A2`` (Latouche 1994).
-
-    Each step solves the Frechet-derivative equation
-    ``H (A1 + R A2) + R H A2 = F(R)`` for the correction ``H`` via
-    Kronecker vectorisation (an ``m^2 x m^2`` dense solve) and updates
-    ``R <- R - H``.  Quadratically convergent: from ``R = 0`` it needs a
-    handful of steps, and from a warm start (the R of a neighbouring sweep
-    point) typically 3-7.
-    """
-    a0 = np.asarray(a0, float)
-    a1 = np.asarray(a1, float)
-    a2 = np.asarray(a2, float)
-    m = a0.shape[0]
-    r = np.zeros_like(a0) if initial_r is None else np.clip(
-        np.asarray(initial_r, float), 0.0, None
-    )
-    eye = np.eye(m)
-    for it in range(1, max_iter + 1):
-        residual = a0 + r @ a1 + r @ r @ a2
-        lhs = np.kron((a1 + r @ a2).T, eye) + np.kron(a2.T, r)  # noqa: RL016 -- vec-trick: vec(AXB) = (B.T kron A) vec(X); the transposes build the Frechet derivative, not a QBD block
-        try:
-            h = np.linalg.solve(lhs, residual.flatten("F")).reshape(
-                (m, m), order="F"
-            )
-        except np.linalg.LinAlgError:
-            raise QBDConvergenceError(
-                "Newton step hit a singular Frechet derivative",
-                iterations=it,
-            ) from None
-        r = r - h
-        if not np.all(np.isfinite(r)):
-            raise QBDConvergenceError(
-                "Newton iteration diverged (bad initial iterate?)",
-                iterations=it,
-            )
-        if float(np.max(np.abs(h))) < tol:
-            return r, it
-    raise QBDConvergenceError(
-        f"Newton iteration did not converge in {max_iter} steps; "
-        "is the QBD stable?",
-        iterations=max_iter,
-    )
-
-
-def r_matrix_newton(
-    a0: np.ndarray,
-    a1: np.ndarray,
-    a2: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
-    initial_r: np.ndarray | None = None,
-) -> np.ndarray:
-    """R via Newton's method, optionally warm-started from ``initial_r``."""
-    return _newton_impl(a0, a1, a2, tol, max_iter, initial_r)[0]
+    return _functional_impl(a0, a1, a2, tol, max_iter)[0]
 
 
 def _natural_impl(
@@ -535,7 +440,6 @@ def _r_logred_impl(
     a1: np.ndarray,
     a2: np.ndarray,
     tol: float,
-    initial_r: np.ndarray | None = None,
     time_budget_ms: float | None = None,
 ) -> tuple[np.ndarray, int]:
     # Quadratically convergent in at most 64 doublings -- no time budget
@@ -549,7 +453,6 @@ def _r_natural_impl(
     a1: np.ndarray,
     a2: np.ndarray,
     tol: float,
-    initial_r: np.ndarray | None = None,
     time_budget_ms: float | None = None,
 ) -> tuple[np.ndarray, int]:
     g, iters = _natural_impl(
@@ -563,33 +466,17 @@ def _r_functional_impl(
     a1: np.ndarray,
     a2: np.ndarray,
     tol: float,
-    initial_r: np.ndarray | None = None,
     time_budget_ms: float | None = None,
 ) -> tuple[np.ndarray, int]:
-    max_iter = DEFAULT_MAX_ITER if initial_r is None else WARM_MAX_ITER
     return _functional_impl(
-        a0, a1, a2, tol, max_iter, initial_r, time_budget_ms=time_budget_ms
+        a0, a1, a2, tol, DEFAULT_MAX_ITER, time_budget_ms=time_budget_ms
     )
-
-
-def _r_newton_impl(
-    a0: np.ndarray,
-    a1: np.ndarray,
-    a2: np.ndarray,
-    tol: float,
-    initial_r: np.ndarray | None = None,
-    time_budget_ms: float | None = None,
-) -> tuple[np.ndarray, int]:
-    # Newton either converges in a few dozen quadratic steps or raises --
-    # the 64-step cap already bounds it, so no time budget.
-    return _newton_impl(a0, a1, a2, tol, NEWTON_MAX_ITER, initial_r)
 
 
 _ALGORITHMS = {
     "logarithmic-reduction": _r_logred_impl,
     "natural": _r_natural_impl,
     "functional": _r_functional_impl,
-    "newton": _r_newton_impl,
 }
 
 
@@ -603,7 +490,6 @@ def r_matrix(
     a2: np.ndarray,
     algorithm: str = "logarithmic-reduction",
     tol: float = DEFAULT_TOL,
-    initial_r: np.ndarray | None = None,
     return_stats: bool = False,
     blocks_validated: bool = False,
     time_budget_ms: float | None = None,
@@ -614,17 +500,7 @@ def r_matrix(
     ----------
     algorithm:
         One of ``"logarithmic-reduction"`` (default, quadratic),
-        ``"newton"`` (quadratic, seedable), ``"natural"`` or
-        ``"functional"``.
-    initial_r:
-        Optional warm-start iterate (e.g. the R matrix of a nearby
-        parameter point).  A warm start runs a *seeded* iteration on R --
-        Newton's method for phase counts up to ``NEWTON_MAX_PHASES``, the
-        functional iteration beyond that (the G-based schemes cannot be
-        seeded) -- and falls back to a cold solve with the requested
-        ``algorithm`` when the warm iteration fails to converge or does
-        not certify minimality (``sp(R) < 1``).  The accepted result
-        therefore always agrees with a cold solve to ``tol``.
+        ``"natural"`` or ``"functional"``.
     return_stats:
         When True, return ``(R, SolveStats)`` instead of just ``R``.
     blocks_validated:
@@ -640,8 +516,8 @@ def r_matrix(
         :func:`escalation_time_budget_ms` (30 s, overridable via
         ``REPRO_SOLVER_BUDGET_MS``); a rung that exceeds it raises
         :class:`QBDConvergenceError` and the ladder moves on.  The
-        quadratic rungs (logarithmic reduction, Newton) are bounded by
-        their step caps instead.
+        quadratic logarithmic reduction is bounded by its step cap
+        instead.
 
     Raises
     ------
@@ -675,88 +551,47 @@ def r_matrix(
     start = time.perf_counter()
     total_iterations = 0
     attempted: list[str] = []
-    r = None
     used = algorithm
-    warm_started = False
-
-    if initial_r is not None:
-        initial_r = np.asarray(initial_r, float)
-        if initial_r.shape != np.asarray(a0).shape:
-            # Unconditional (not gated on contracts_enabled): a wrong-shape
-            # seed would crash deep inside the iteration otherwise.
-            raise ContractViolation(
-                "check_shape",
-                "initial_r",
-                f"expected shape {np.asarray(a0).shape}, got {initial_r.shape}",
-            )
-        check_finite(initial_r, "initial_r")
-        if initial_r.shape[0] <= NEWTON_MAX_PHASES:
-            warm_impl, warm_name = _r_newton_impl, "newton"
-        else:
-            warm_impl, warm_name = _r_functional_impl, "functional"
-        try:
-            cand, iters = warm_impl(
-                a0, a1, a2, tol, initial_r, time_budget_ms=time_budget_ms
-            )
-            total_iterations += iters
-            # The minimal solution is the unique one with sp(R) < 1 (the
-            # QBD is positive recurrent here), so this certifies that the
-            # warm start did not land on a spurious fixed point.  The
-            # tiered certificate (inf-norm, then Collatz-Wielandt, then
-            # eigenvalues) avoids a full eigenvalue solve on every warm
-            # point; its Collatz-Wielandt tiers need a non-negative
-            # iterate, so reject negative entries first.
-            if not np.any(cand < -1e-9) and certify_spectral_radius_below_one(
-                np.clip(cand, 0.0, None)
-            ):
-                r, used, warm_started = cand, warm_name, True
-            else:
-                attempted.append(f"{warm_name}(warm)")
-        except QBDConvergenceError as exc:
-            total_iterations += exc.iterations
-            attempted.append(f"{warm_name}(warm)")
-
-    if r is None:
-        try:
-            r, iters = _ALGORITHMS[algorithm](
-                a0, a1, a2, tol, time_budget_ms=time_budget_ms
-            )
-            total_iterations += iters
-            used = algorithm
-        except QBDConvergenceError as exc:
-            total_iterations += exc.iterations
-            attempted.append(algorithm)
-            # Nearly decomposable phase processes can overflow logarithmic
-            # reduction; the linearly convergent iterations are slower but
-            # unconditionally monotone, so fall back before giving up.
-            # Functional iteration first: cheapest per step and monotone.
-            # Each fallback rung runs under the escalation time budget.
-            order = ["functional", "natural", "logarithmic-reduction"]
-            r = None
-            for name in (n for n in order if n != algorithm):
-                try:
-                    r, iters = _ALGORITHMS[name](
-                        a0, a1, a2, tol, time_budget_ms=time_budget_ms
-                    )
-                    total_iterations += iters
-                    used = name
-                    break
-                except QBDConvergenceError as fallback_exc:
-                    total_iterations += fallback_exc.iterations
-                    attempted.append(name)
-            if r is None:
-                # The whole ladder failed: attach the attempt log so the
-                # caller's failure record can state every rung tried.
-                exc.attempts = tuple(attempted)
-                raise
+    try:
+        r, iters = _ALGORITHMS[algorithm](
+            a0, a1, a2, tol, time_budget_ms=time_budget_ms
+        )
+        total_iterations += iters
+    except QBDConvergenceError as exc:
+        total_iterations += exc.iterations
+        attempted.append(algorithm)
+        # Nearly decomposable phase processes can overflow logarithmic
+        # reduction; the linearly convergent iterations are slower but
+        # unconditionally monotone, so fall back before giving up.
+        # Functional iteration first: cheapest per step and monotone.
+        # Each fallback rung runs under the escalation time budget.
+        order = ["functional", "natural", "logarithmic-reduction"]
+        found: np.ndarray | None = None
+        for name in (n for n in order if n != algorithm):
+            try:
+                found, iters = _ALGORITHMS[name](
+                    a0, a1, a2, tol, time_budget_ms=time_budget_ms
+                )
+                total_iterations += iters
+                used = name
+                break
+            except QBDConvergenceError as fallback_exc:
+                total_iterations += fallback_exc.iterations
+                attempted.append(name)
+        if found is None:
+            # The whole ladder failed: attach the attempt log so the
+            # caller's failure record can state every rung tried.
+            exc.attempts = tuple(attempted)
+            raise
+        r = found
     # Clip round-off negatives; R must be entrywise non-negative.
     if np.any(r < -1e-9):
         raise QBDConvergenceError(
             f"computed R has a significantly negative entry ({r.min():.3g})"
         )
     r = np.clip(r, 0.0, None)
-    # Postcondition: the accepted R -- cold, warm-started or a fallback --
-    # must be the minimal solution, i.e. finite, non-negative, sp(R) < 1.
+    # Postcondition: the accepted R -- first choice or a fallback -- must
+    # be the minimal solution, i.e. finite, non-negative, sp(R) < 1.
     check_r_matrix(r, "R")
     if not return_stats:
         return r
@@ -765,7 +600,6 @@ def r_matrix(
         iterations=total_iterations,
         wall_time_ms=(time.perf_counter() - start) * 1e3,
         spectral_radius=_spectral_radius(r),
-        warm_started=warm_started,
         fallbacks=tuple(attempted),
     )
     return r, stats

@@ -168,15 +168,14 @@ def solve_qbd(
     qbd: QBDProcess,
     algorithm: str = "logarithmic-reduction",
     tol: float = 1e-12,
-    initial_r: np.ndarray | None = None,
     escalate: bool = False,
     time_budget_ms: float | None = None,
 ) -> QBDStationaryDistribution:
     """Solve a QBD end to end: R matrix, boundary system, stationary object.
 
-    ``initial_r`` warm-starts the R iteration (see
-    :func:`repro.qbd.rmatrix.r_matrix`); the returned distribution carries
-    the per-solve :class:`~repro.qbd.rmatrix.SolveStats`.
+    The R matrix comes from one cold :func:`repro.qbd.rmatrix.r_matrix`
+    solve; the returned distribution carries its
+    :class:`~repro.qbd.rmatrix.SolveStats`.
 
     With ``escalate=True`` the solve gains a last rung: when every
     matrix-geometric iteration fails (``QBDConvergenceError``) or the
@@ -194,7 +193,7 @@ def solve_qbd(
     try:
         r, stats = r_matrix(
             qbd.a0, qbd.a1, qbd.a2, algorithm=algorithm, tol=tol,
-            initial_r=initial_r, return_stats=True, blocks_validated=True,
+            return_stats=True, blocks_validated=True,
             time_budget_ms=time_budget_ms,
         )
         pi_boundary, pi_first = solve_boundary(qbd, r)

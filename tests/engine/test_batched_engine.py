@@ -144,7 +144,7 @@ class TestBatchedEngine:
 
     def test_batched_requires_logred(self):
         with pytest.raises(ValueError, match="logarithmic-reduction"):
-            SweepEngine(batched=True, algorithm="newton")
+            SweepEngine(batched=True, algorithm="functional")
 
     def test_repr_mentions_batched(self):
         assert "batched=True" in repr(SweepEngine(batched=True))

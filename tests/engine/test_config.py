@@ -29,17 +29,13 @@ class TestValidation:
     def test_defaults_are_valid_and_default(self):
         config = EngineConfig()
         assert config.is_default
-        assert not EngineConfig(jobs=2).is_default
+        assert not EngineConfig(batched=True).is_default
 
     @pytest.mark.parametrize(
         ("field", "value", "match"),
         [
-            ("jobs", 0, "jobs must be >= 1"),
             ("tol", 0.0, "tol must be positive"),
             ("on_error", "explode", "on_error must be one of"),
-            ("max_retries", -1, "max_retries must be >= 0"),
-            ("retry_backoff_ms", -1.0, "retry_backoff_ms must be >= 0"),
-            ("chain_timeout_ms", 0.0, "chain_timeout_ms must be positive"),
         ],
     )
     def test_field_validation(self, field, value, match):
@@ -51,18 +47,39 @@ class TestValidation:
             EngineConfig(batched=True, algorithm="functional")
 
     def test_replace_revalidates(self):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            EngineConfig().replace(jobs=0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            EngineConfig().replace(tol=0.0)
 
     def test_round_trip(self):
-        config = EngineConfig(
-            jobs=2, cache_dir="/tmp/c", warm_start=True, on_error="collect"
-        )
+        config = EngineConfig(cache_dir="/tmp/c", batched=True, on_error="collect")
         assert EngineConfig.from_dict(config.as_dict()) == config
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown EngineConfig field"):
             EngineConfig.from_dict({"jbos": 2})
+
+    def test_from_dict_drops_the_retired_pool_and_warm_start_fields(self):
+        """Configs serialized while the worker pool and warm starts existed
+        still load; none of their five fields ever changed a solution."""
+        payload = {
+            "jobs": 2,
+            "cache_dir": None,
+            "cache_memory": False,
+            "warm_start": True,
+            "batched": False,
+            "algorithm": "logarithmic-reduction",
+            "tol": 1e-12,
+            "on_error": "collect",
+            "escalate": False,
+            "max_retries": 2,
+            "retry_backoff_ms": 100.0,
+            "chain_timeout_ms": None,
+        }
+        assert EngineConfig.from_dict(payload) == EngineConfig(on_error="collect")
+
+    def test_from_dict_still_rejects_unknown_next_to_retired_fields(self):
+        with pytest.raises(ValueError, match="unknown EngineConfig field"):
+            EngineConfig.from_dict({"jobs": 2, "workers": 2})
 
 
 class TestBuildCache:
@@ -83,13 +100,13 @@ class TestEquivalence:
     """config= and legacy kwargs are two spellings of the same engine."""
 
     def test_engine_attributes_match(self):
-        config = EngineConfig(jobs=2, warm_start=True, on_error="collect")
+        config = EngineConfig(batched=True, escalate=True, on_error="collect")
         via_config = SweepEngine(config=config)
-        via_kwargs = SweepEngine(jobs=2, warm_start=True, on_error="collect")
+        via_kwargs = SweepEngine(batched=True, escalate=True, on_error="collect")
         assert via_config.config == via_kwargs.config
-        assert (via_config.jobs, via_config.warm_start, via_config.on_error) == (
-            via_kwargs.jobs,
-            via_kwargs.warm_start,
+        assert (via_config.batched, via_config.escalate, via_config.on_error) == (
+            via_kwargs.batched,
+            via_kwargs.escalate,
             via_kwargs.on_error,
         )
 
@@ -110,10 +127,12 @@ class TestEquivalence:
         )
 
     def test_kwargs_override_config_fields(self):
-        engine = SweepEngine(config=EngineConfig(jobs=4, on_error="skip"), jobs=1)
-        assert engine.jobs == 1
+        engine = SweepEngine(
+            config=EngineConfig(batched=True, on_error="skip"), batched=False
+        )
+        assert engine.batched is False
         assert engine.on_error == "skip"
-        assert engine.config.jobs == 1
+        assert engine.config.batched is False
 
     def test_explicit_cache_object_wins(self, tmp_path):
         cache = SolveCache(str(tmp_path / "c"))
@@ -122,8 +141,8 @@ class TestEquivalence:
         assert engine.config.cache_dir == str(tmp_path / "c")
 
     def test_invalid_override_rejected(self):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            SweepEngine(config=EngineConfig(), jobs=0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            SweepEngine(config=EngineConfig(), tol=0.0)
 
 
 class TestHooks:
@@ -142,9 +161,9 @@ class TestHooks:
         assert sum(ticks) == 3
         assert engine.stats.cache_hits == 3
 
-    def test_progress_ticks_under_parallel_jobs(self):
+    def test_progress_ticks_over_chains(self):
         ticks = []
-        engine = SweepEngine(jobs=2, progress=ticks.append)
+        engine = SweepEngine(progress=ticks.append)
         chains = [models(2, p=0.1), models(2, p=0.6)]
         engine.run_chains(chains)
         assert sum(ticks) == 4
@@ -191,4 +210,3 @@ class TestStatsSummaryKeys:
         engine.run_chain(models(1))
         summary = engine.stats.summary()
         assert summary["cache_quarantined"] == 0
-        assert summary["worker_retries"] == 0

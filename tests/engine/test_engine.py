@@ -1,4 +1,4 @@
-"""Tests for the sweep engine: caching, warm starts, parallel chains."""
+"""Tests for the sweep engine: deduplication, caching, chains."""
 
 import numpy as np
 import pytest
@@ -55,8 +55,9 @@ class TestSolve:
         assert len(list((tmp_path / "solves").iterdir())) == 1
 
     def test_jobs_validation(self):
-        with pytest.raises(ValueError, match="jobs"):
-            SweepEngine(jobs=0)
+        # The engine runs no worker processes; ``jobs`` is not a keyword.
+        with pytest.raises(TypeError, match="jobs"):
+            SweepEngine(jobs=2)
 
 
 class TestRunChain:
@@ -66,24 +67,14 @@ class TestRunChain:
         for model, solution in zip(chain(), solutions):
             assert solution.fg_queue_length == model.solve().fg_queue_length
 
-    def test_warm_chain_matches_cold_within_tolerance(self):
-        cold = [m.solve() for m in chain()]
-        warm = SweepEngine(warm_start=True).run_chain(chain())
-        for c, w in zip(cold, warm):
-            assert w.fg_queue_length == pytest.approx(
-                c.fg_queue_length, abs=1e-8
-            )
-            assert w.bg_completion_rate == pytest.approx(
-                c.bg_completion_rate, abs=1e-8
-            )
-
-    def test_warm_start_reduces_iterations(self):
-        cold = SweepEngine(algorithm="functional")
-        cold.run_chain(chain())
-        warm = SweepEngine(algorithm="functional", warm_start=True)
-        warm.run_chain(chain())
-        assert warm.stats.total_iterations < cold.stats.total_iterations
-        assert warm.stats.warm_started == len(UTILIZATIONS) - 1
+    def test_duplicates_solved_once_without_a_cache(self):
+        models = chain()
+        engine = SweepEngine()
+        solutions = engine.run_chain(models + chain())
+        assert engine.stats.solver_calls == len(UTILIZATIONS)
+        assert engine.stats.cache_hits == len(UTILIZATIONS)
+        for first, again in zip(solutions[: len(models)], solutions[len(models) :]):
+            assert again is first
 
     def test_cached_rerun_solves_nothing(self):
         engine = SweepEngine(cache=SolveCache())
@@ -106,32 +97,23 @@ class TestRunChains:
                     solution.fg_queue_length == model.solve().fg_queue_length
                 )
 
-    def test_parallel_identical_to_serial(self):
-        serial = SweepEngine(jobs=1).run_chains(self.chains())
-        parallel = SweepEngine(jobs=2).run_chains(self.chains())
-        for s_chain, p_chain in zip(serial, parallel):
-            for s, p in zip(s_chain, p_chain):
-                assert p.fg_queue_length == s.fg_queue_length
-                assert p.bg_queue_length == s.bg_queue_length
-                assert p.bg_completion_rate == s.bg_completion_rate
-
-    def test_parallel_merges_stats(self):
-        engine = SweepEngine(jobs=2)
+    def test_run_chains_merges_stats(self):
+        engine = SweepEngine()
         engine.run_chains(self.chains())
         assert engine.stats.solves == 3 * len(UTILIZATIONS)
         assert engine.stats.total_iterations > 0
 
-    def test_parallel_populates_parent_cache(self):
-        engine = SweepEngine(jobs=2, cache=SolveCache())
+    def test_run_chains_populates_cache(self):
+        engine = SweepEngine(cache=SolveCache())
         engine.run_chains(self.chains())
         rerun = engine.run_chains(self.chains())
-        assert engine.stats.cache_hits >= 3 * len(UTILIZATIONS)
+        assert engine.stats.cache_hits == 3 * len(UTILIZATIONS)
         assert len(rerun) == 3
 
-    def test_parallel_shares_disk_cache(self, tmp_path):
-        first = SweepEngine(jobs=2, cache=tmp_path)
+    def test_run_chains_shares_disk_cache(self, tmp_path):
+        first = SweepEngine(cache=tmp_path)
         first.run_chains(self.chains())
-        second = SweepEngine(jobs=2, cache=tmp_path)
+        second = SweepEngine(cache=tmp_path)
         second.run_chains(self.chains())
         assert second.stats.solver_calls == 0
         assert second.stats.cache_hits == 3 * len(UTILIZATIONS)
@@ -142,8 +124,8 @@ class TestRunChains:
             arrival=PoissonProcess(0.3 * MU), service_rate=MU, bg_probability=0.3
         )
         models = [base.at_utilization(u) for u in UTILIZATIONS]
-        warm = SweepEngine(warm_start=True).run_chain(models)
-        for model, solution in zip(models, warm):
+        solved = SweepEngine().run_chain(models)
+        for model, solution in zip(models, solved):
             assert solution.fg_queue_length == pytest.approx(
                 model.solve().fg_queue_length, abs=1e-8
             )

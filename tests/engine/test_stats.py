@@ -7,13 +7,12 @@ from repro.engine import EngineStats, SolveRecord
 from repro.qbd import SolveStats
 
 
-def stats(algorithm="newton", iterations=5, wall=1.5, sp=0.9, warm=True):
+def stats(algorithm="functional", iterations=5, wall=1.5, sp=0.9):
     return SolveStats(
         algorithm=algorithm,
         iterations=iterations,
         wall_time_ms=wall,
         spectral_radius=sp,
-        warm_started=warm,
     )
 
 
@@ -23,7 +22,7 @@ class TestSolveRecord:
         payload = record.as_dict()
         assert payload["fingerprint"] == "abc"
         assert payload["cache_hit"] is False
-        assert payload["stats"]["algorithm"] == "newton"
+        assert payload["stats"]["algorithm"] == "functional"
 
     def test_as_dict_without_stats(self):
         assert SolveRecord("abc", True, None).as_dict()["stats"] is None
@@ -32,9 +31,9 @@ class TestSolveRecord:
 class TestEngineStats:
     def filled(self):
         es = EngineStats()
-        es.add(SolveRecord("a", False, stats("logarithmic-reduction", 7, 2.0, 0.9, False)))
-        es.add(SolveRecord("b", False, stats("newton", 5, 30.0, 0.95, True)))
-        es.add(SolveRecord("a", True, stats("logarithmic-reduction", 7, 2.0, 0.9, False)))
+        es.add(SolveRecord("a", False, stats("logarithmic-reduction", 7, 2.0, 0.9)))
+        es.add(SolveRecord("b", False, stats("functional", 5, 30.0, 0.95)))
+        es.add(SolveRecord("a", True, stats("logarithmic-reduction", 7, 2.0, 0.9)))
         return es
 
     def test_counts(self):
@@ -42,7 +41,6 @@ class TestEngineStats:
         assert es.solves == 3
         assert es.cache_hits == 1
         assert es.solver_calls == 2
-        assert es.warm_started == 1
 
     def test_totals_exclude_cache_hits(self):
         es = self.filled()
@@ -56,7 +54,7 @@ class TestEngineStats:
     def test_algorithm_counts(self):
         assert self.filled().algorithm_counts() == {
             "logarithmic-reduction": 1,
-            "newton": 1,
+            "functional": 1,
         }
 
     def test_summary_is_json_serializable(self):
@@ -73,7 +71,8 @@ class TestEngineStats:
 
     def test_extend_and_clear(self):
         es = EngineStats()
-        es.extend(self.filled().records)
+        for record in self.filled().records:
+            es.add(record)
         assert es.solves == 3
         es.clear()
         assert es.solves == 0

@@ -31,10 +31,10 @@ class TestRunner:
 
 
 class TestEngineFlags:
-    def test_jobs_output_identical_to_serial(self, capsys):
+    def test_batched_output_identical_to_serial(self, capsys):
         assert main(["fig9"]) == 0
         serial = capsys.readouterr().out
-        assert main(["fig9", "--jobs", "2"]) == 0
+        assert main(["fig9", "--batched"]) == 0
         assert capsys.readouterr().out == serial
 
     def test_cache_flag_in_memory(self, capsys):
@@ -50,29 +50,22 @@ class TestEngineFlags:
         assert main(["fig9", "--cache", str(cache_dir)]) == 0
         assert capsys.readouterr().out == first
 
-    def test_warm_start_output_identical(self, capsys):
-        assert main(["fig9"]) == 0
-        cold = capsys.readouterr().out
-        assert main(["fig9", "--warm-start"]) == 0
-        assert capsys.readouterr().out == cold
-
     def test_invalid_jobs_errors(self, capsys):
+        # Sweeps run in one process; --jobs is not a flag.
         with pytest.raises(SystemExit):
-            main(["fig9", "--jobs", "0"])
-        assert "--jobs" in capsys.readouterr().err
+            main(["fig9", "--jobs", "2"])
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_engine_flags_ignored_for_table_figures(self, capsys):
         # fig2 takes no engine; the flags must not break it.
-        assert main(["fig2", "--jobs", "2", "--cache"]) == 0
+        assert main(["fig2", "--batched", "--cache"]) == 0
         assert "fig2" in capsys.readouterr().out
 
 
 def parsed(*flags) -> argparse.Namespace:
     """A parsed namespace with the runner's engine-flag defaults."""
     defaults = dict(
-        jobs=1,
         cache=None,
-        warm_start=False,
         batched=False,
         on_error="raise",
         escalate=False,
@@ -89,8 +82,8 @@ class TestBuildConfig:
         assert build_config(parsed()) is None
 
     def test_any_flag_builds_a_config(self):
-        config = build_config(parsed(("jobs", 2)))
-        assert config == EngineConfig(jobs=2)
+        config = build_config(parsed(("batched", True)))
+        assert config == EngineConfig(batched=True)
 
     def test_memory_cache_spelling(self):
         config = build_config(parsed(("cache", "")))

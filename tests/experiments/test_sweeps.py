@@ -123,16 +123,16 @@ class TestSweepMany:
         assert [s.label for s in series] == ["p = 0.1", "p = 0.9"]
         assert all(s.x.shape == (2,) for s in series)
 
-    def test_parallel_engine_identical_to_serial(self):
+    def test_batched_engine_identical_to_serial(self):
         args = (poisson_base(), utilization_axis([0.2, 0.4, 0.6]), "qlen_fg")
         serial = sweep_many(*args, bg_probabilities=[0.1, 0.6, 0.9])
-        parallel = sweep_many(
+        batched = sweep_many(
             *args,
             bg_probabilities=[0.1, 0.6, 0.9],
-            engine=SweepEngine(jobs=2),
+            engine=SweepEngine(batched=True),
         )
-        for s, p in zip(serial, parallel):
-            np.testing.assert_array_equal(s.y, p.y)
+        for s, b in zip(serial, batched):
+            np.testing.assert_allclose(b.y, s.y, rtol=1e-10, atol=0.0)
 
     def test_config_identical_to_legacy(self):
         args = (poisson_base(), utilization_axis([0.2, 0.4]), "qlen_fg")
@@ -147,7 +147,7 @@ class TestSweepMany:
 class TestLoadSweep:
     """The utilization-sweep shape load_sweep_series used to provide.
 
-    The deprecated wrapper is gone (RL010); these pin the replacement
+    The deprecated wrapper is gone; these pin the replacement
     spelling -- ``sweep_many`` over ``utilization_axis`` -- to the same
     behavior the wrapper had.
     """

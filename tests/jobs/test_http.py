@@ -68,6 +68,14 @@ class TestRoutes:
         )
         assert memory_repo.get(job["job_id"]).spec.engine.cache_memory
 
+    def test_engine_section_with_retired_keys_is_accepted(
+        self, base_url, memory_repo, tiny_figure
+    ):
+        # Clients written while the engine had a worker pool still send it.
+        engine = {"jobs": 2, "warm_start": False, "cache_memory": True}
+        _, job = post(f"{base_url}/jobs", {"figure": tiny_figure, "engine": engine})
+        assert memory_repo.get(job["job_id"]).spec.engine.cache_memory
+
     def test_list_with_state_filter(self, base_url, tiny_figure):
         post(f"{base_url}/jobs", {"figure": tiny_figure})
         _, pending = get(f"{base_url}/jobs?state=pending")
@@ -108,7 +116,7 @@ class TestErrors:
 
     def test_bad_engine_section_is_400(self, base_url, tiny_figure):
         with pytest.raises(HTTPError) as excinfo:
-            post(f"{base_url}/jobs", {"figure": tiny_figure, "engine": {"jobs": 0}})
+            post(f"{base_url}/jobs", {"figure": tiny_figure, "engine": {"tol": 0}})
         assert excinfo.value.code == 400
 
     def test_unknown_route_is_404(self, base_url):

@@ -49,7 +49,7 @@ class TestSubmit:
         first = service.submit_figure(tiny_figure)
         worker.run_once()
         other = service.submit_figure(
-            tiny_figure, config=EngineConfig(jobs=2), reuse_completed=True
+            tiny_figure, config=EngineConfig(batched=True), reuse_completed=True
         )
         assert other.job_id != first.job_id
 

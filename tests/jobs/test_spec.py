@@ -28,7 +28,7 @@ class TestJobSpec:
         assert a.fingerprint() != JobSpec(figure="fig9", fast=True).fingerprint()
         assert (
             a.fingerprint()
-            != JobSpec(figure="fig9", engine=EngineConfig(jobs=2)).fingerprint()
+            != JobSpec(figure="fig9", engine=EngineConfig(batched=True)).fingerprint()
         )
 
     def test_empty_figure_rejected(self):
@@ -41,10 +41,10 @@ class TestJobSpec:
 
     def test_engine_must_be_config(self):
         with pytest.raises(TypeError, match="EngineConfig"):
-            JobSpec(figure="fig9", engine={"jobs": 2})
+            JobSpec(figure="fig9", engine={"batched": True})
 
     def test_invalid_engine_section_rejected_on_load(self):
         payload = JobSpec(figure="fig9").as_dict()
-        payload["engine"]["jobs"] = 0
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
+        payload["engine"]["tol"] = 0.0
+        with pytest.raises(ValueError, match="tol must be positive"):
             JobSpec.from_dict(payload)

@@ -1,4 +1,4 @@
-"""Property-based tests on the sweep engine (caching and warm starts)."""
+"""Property-based tests on the sweep engine (caching)."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -15,7 +15,7 @@ MU = SERVICE_RATE_PER_MS
 @st.composite
 def stable_mmpp_models(draw):
     """Random stable FG/BG models with MMPP(2) arrivals, lag-1 ACF decay
-    <= 0.9 so the warm-start comparisons are not tail-dominated.
+    <= 0.9 so the solves are not tail-dominated.
 
     The MMPP is built directly from random switching/arrival rates (the
     least-squares fitter is too slow -- and not total -- for property
@@ -64,38 +64,3 @@ class TestCachingProperties:
         )
         engine.solve(clone)
         assert engine.stats.cache_hits == 1
-
-
-class TestWarmStartProperties:
-    @given(
-        model=stable_mmpp_models(),
-        step=st.floats(min_value=0.01, max_value=0.1),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_warm_equals_cold_within_tolerance(self, model, step):
-        low = model
-        high_util = min(0.95, low.fg_utilization + step)
-        high = low.at_utilization(high_util)
-
-        cold = high.solve()
-        seed = low.solve().qbd_solution.r
-        warm = high.solve(initial_r=seed)
-
-        for name, c_val in cold.as_dict().items():
-            w_val = getattr(warm, name)
-            if np.isnan(c_val):
-                assert np.isnan(w_val)
-            else:
-                np.testing.assert_allclose(w_val, c_val, atol=1e-7, rtol=1e-7)
-
-    @given(model=stable_mmpp_models())
-    @settings(max_examples=15, deadline=None)
-    def test_warm_chain_matches_cold_chain(self, model):
-        utils = [0.2, 0.3, 0.4]
-        models = [model.at_utilization(u) for u in utils]
-        cold = [m.solve().fg_queue_length for m in models]
-        warm = [
-            s.fg_queue_length
-            for s in SweepEngine(warm_start=True).run_chain(models)
-        ]
-        np.testing.assert_allclose(warm, cold, atol=1e-7, rtol=1e-7)

@@ -79,7 +79,6 @@ class TestBatchedRMatrix:
         for s in stats:
             assert s.algorithm == "batched-logarithmic-reduction"
             assert 0 < s.spectral_radius < 1
-            assert not s.warm_started
 
     def test_report_round_trips_to_dict(self):
         report = BatchedSolveReport(

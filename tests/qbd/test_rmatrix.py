@@ -13,8 +13,8 @@ from repro.qbd import (
     r_matrix_functional_iteration,
     r_matrix_logarithmic_reduction,
     r_matrix_natural_iteration,
-    r_matrix_newton,
 )
+from repro.qbd.rmatrix import _closed_classes
 
 LAM, MU = 1.0, 2.0
 MM1 = (np.array([[LAM]]), np.array([[-(LAM + MU)]]), np.array([[MU]]))
@@ -52,7 +52,6 @@ ALGOS = [
     r_matrix_functional_iteration,
     r_matrix_natural_iteration,
     r_matrix_logarithmic_reduction,
-    r_matrix_newton,
 ]
 
 
@@ -84,7 +83,7 @@ class TestAgreement:
 
     def test_dispatch_by_name(self):
         a0, a1, a2 = mmpp_m1_blocks()
-        for name in ("logarithmic-reduction", "natural", "functional", "newton"):
+        for name in ("logarithmic-reduction", "natural", "functional"):
             r = r_matrix(a0, a1, a2, algorithm=name)
             np.testing.assert_allclose(
                 a0 + r @ a1 + r @ r @ a2, 0.0, atol=1e-8
@@ -132,7 +131,6 @@ class TestSolveStats:
         assert stats.iterations > 0
         assert stats.wall_time_ms >= 0.0
         assert 0 < stats.spectral_radius < 1
-        assert not stats.warm_started
         assert stats.fallbacks == ()
 
     def test_as_dict_round_trips_to_json_types(self):
@@ -148,40 +146,45 @@ class TestSolveStats:
         assert isinstance(r, np.ndarray)
 
 
-class TestWarmStart:
-    def test_warm_equals_cold_within_tolerance(self):
-        a0, a1, a2 = mmpp_m1_blocks(util=0.7)
-        cold = r_matrix(a0, a1, a2)
-        # Seed the nearby 0.75-utilization problem with the 0.7 solution.
-        b0, b1, b2 = mmpp_m1_blocks(util=0.75)
-        warm, stats = r_matrix(b0, b1, b2, initial_r=cold, return_stats=True)
-        reference = r_matrix(b0, b1, b2)
-        np.testing.assert_allclose(warm, reference, atol=1e-8)
-        assert stats.warm_started
-        assert stats.algorithm == "newton"
+class TestClosedClasses:
+    """The closed communicating classes the drift is evaluated on."""
 
-    def test_warm_start_uses_few_iterations(self):
-        a0, a1, a2 = mmpp_m1_blocks(util=0.7)
-        cold = r_matrix(a0, a1, a2)
-        b0, b1, b2 = mmpp_m1_blocks(util=0.72)
-        _, warm_stats = r_matrix(b0, b1, b2, initial_r=cold, return_stats=True)
-        _, cold_stats = r_matrix(
-            b0, b1, b2, algorithm="functional", return_stats=True
+    @staticmethod
+    def classes(a):
+        return sorted(tuple(c.tolist()) for c in _closed_classes(a))
+
+    def test_hand_built_reducible_generator(self):
+        # 0 <-> 1 is closed; 2 leaks into it; 3 <-> 4 is closed; 5 is
+        # absorbing.
+        a = np.zeros((6, 6))
+        for i, j, rate in [
+            (0, 1, 1.0), (1, 0, 2.0), (2, 0, 0.5), (2, 3, 0.5),
+            (3, 4, 1.0), (4, 3, 1.0),
+        ]:
+            a[i, j] = rate
+        np.fill_diagonal(a, -a.sum(axis=1))
+        assert self.classes(a) == [(0, 1), (3, 4), (5,)]
+
+    def test_irreducible_generator_is_one_class(self):
+        a0, a1, a2 = mmpp_m1_blocks()
+        assert self.classes(a0 + a1 + a2) == [(0, 1)]
+
+    def test_multiclass_full_buffer_classes_are_unchanged(self):
+        """Two background classes, buffer 2: the phases settle into one
+        closed class per full-buffer occupancy -- (0, 2), (1, 1), (2, 0)
+        with the foreground in service -- out of 12 strongly connected
+        components."""
+        from repro.core.multiclass import MulticlassFgBgModel
+        from repro.processes import fit_mmpp2
+
+        mu = 1 / 6.0
+        model = MulticlassFgBgModel(
+            arrival=fit_mmpp2(rate=0.4 * mu, scv=4.0, decay=0.8),
+            service_rate=mu,
+            bg_probabilities=(0.3, 0.3),
+            bg_buffer=2,
         )
-        assert warm_stats.iterations < cold_stats.iterations
-
-    def test_garbage_seed_falls_back_to_cold(self):
-        a0, a1, a2 = mmpp_m1_blocks()
-        garbage = np.full((2, 2), 50.0)
-        r, stats = r_matrix(a0, a1, a2, initial_r=garbage, return_stats=True)
-        reference = r_matrix(a0, a1, a2)
-        np.testing.assert_allclose(r, reference, atol=1e-8)
-        residual = a0 + r @ a1 + r @ r @ a2
-        np.testing.assert_allclose(residual, 0.0, atol=1e-8)
-
-    def test_exact_seed_converges_immediately(self):
-        a0, a1, a2 = mmpp_m1_blocks()
-        exact = r_matrix(a0, a1, a2)
-        _, stats = r_matrix(a0, a1, a2, initial_r=exact, return_stats=True)
-        assert stats.warm_started
-        assert stats.iterations <= 3
+        qbd = model._qbd
+        assert self.classes(qbd.a0 + qbd.a1 + qbd.a2) == [
+            (10, 11), (14, 15), (20, 21)
+        ]

@@ -90,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fix",
         action="store_true",
-        help="apply mechanical fixes (stale noqa removal, RL010 rewrite) first",
+        help="apply mechanical fixes (stale noqa removal, RL013 lock-fd "
+        "try/finally, RL015 env-accessor rewrite) first",
     )
     parser.add_argument(
         "--cache",

@@ -178,7 +178,7 @@ def lint_source(source: str, path: str = "<string>") -> list[Violation]:
     """Run the per-file rules on one source string.
 
     Returns the unsuppressed violations of the single-file rules
-    (RL001-RL006, RL010).  The project-level rules (RL007-RL009) need
+    (:data:`tools.reprolint.rules.FILE_RULES`).  The project-level rules (RL007-RL009) need
     cross-file context and run through
     :class:`tools.reprolint.project.Project` / :func:`lint_paths`.
     """

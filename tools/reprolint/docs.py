@@ -126,14 +126,6 @@ RULE_DOCS: dict[str, RuleDoc] = {
             "'# noqa: RLxxx -- reason'."
         ),
     ),
-    "RL010": RuleDoc(
-        rationale=(
-            "load_sweep_series/idle_wait_sweep_series were removed; "
-            "sweep_many is the single sweep surface."
-        ),
-        example="series = load_sweep_series(models)",
-        fix="Call sweep_many (--fix rewrites simple call sites).",
-    ),
     "RL011": RuleDoc(
         rationale=(
             "Solvers never mutate inputs: a parameter array written in "
@@ -205,7 +197,7 @@ RULE_DOCS: dict[str, RuleDoc] = {
         fix=(
             "Match the declarations: b01 is (boundary, repeating), b10 "
             "the reverse, a0/a1/a2 square and same-shape; drop stray .T "
-            "(the Newton vec-trick transpose is the documented waiver)."
+            "(a Kronecker vec-trick transpose is the documented waiver)."
         ),
     ),
     "RL017": RuleDoc(

@@ -1,21 +1,14 @@
-"""Mechanical fixes: RL009 noqa surgery, RL010/RL013/RL015 rewrites.
+"""Mechanical fixes: RL009 noqa surgery, RL013/RL015 rewrites.
 
 ``fix_paths`` runs the project analysis, applies every mechanical fix,
 and re-lints until nothing fixable remains -- so a second invocation is
 always a no-op (idempotence is guaranteed by construction, and the CLI
-asserts it).  Four fix classes exist, all behavior-preserving:
+asserts it).  Three fix classes exist, all behavior-preserving:
 
 * **stale noqa codes** (RL009) are removed from their comment (the whole
   comment goes when no codes remain and nothing else was suppressed);
   missing-``-- reason`` findings are *not* auto-fixed -- a tool cannot
   write the reason;
-* **deprecated sweep calls** (RL010: ``load_sweep_series`` /
-  ``idle_wait_sweep_series``) are rewritten to the exact delegation the
-  deprecated wrapper performs (``sweep_many`` over the matching axis and
-  an explicit ``FgBgModel``), provided the call shape is simple enough
-  to rewrite faithfully (no ``**kwargs``, no unknown keywords);
-  missing imports are added, and a deprecated import left without
-  references is dropped;
 * **unprotected O_EXCL lock fds** (RL013) whose ``os.open`` /
   ``os.close`` pair sits in one statement list with only simple
   single-line statements between them are wrapped in ``try``/``finally``
@@ -43,16 +36,10 @@ __all__ = ["FixOutcome", "fix_paths", "fixable"]
 
 _MAX_PASSES = 4
 
-_DEPRECATED = {
-    "load_sweep_series": ("utilization_axis", "utilizations"),
-    "idle_wait_sweep_series": ("idle_wait_axis", "idle_wait_multiples"),
-}
-_WRAPPER_PARAMS = ("arrival", None, "bg_probabilities", "metric", "service_rate")
-
 
 def fixable(violation: Violation) -> bool:
     """True when ``--fix`` can mechanically resolve this violation."""
-    if violation.code in {"RL010", "RL015"}:
+    if violation.code == "RL015":
         return True
     if violation.code == "RL013":
         return "O_EXCL" in violation.message
@@ -141,7 +128,7 @@ def _apply_noqa_fixes(
 
 
 # ---------------------------------------------------------------------------
-# RL010: deprecated sweep call rewrite
+# Shared source-editing helpers
 # ---------------------------------------------------------------------------
 
 
@@ -154,108 +141,6 @@ def _offsets(source: str) -> list[int]:
 
 def _abs_offset(starts: list[int], line: int, col: int) -> int:
     return starts[line - 1] + col
-
-
-def _call_name(node: ast.Call) -> str | None:
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
-def _wrapper_arguments(
-    node: ast.Call, axis_value_name: str
-) -> dict[str, ast.expr] | None:
-    """Map a deprecated call's args to wrapper parameter names, or None."""
-    names = [
-        "arrival",
-        axis_value_name,
-        "bg_probabilities",
-        "metric",
-        "service_rate",
-    ]
-    bound: dict[str, ast.expr] = {}
-    if len(node.args) > len(names):
-        return None
-    for index, arg in enumerate(node.args):
-        if isinstance(arg, ast.Starred):
-            return None
-        bound[names[index]] = arg
-    for keyword in node.keywords:
-        if keyword.arg is None or keyword.arg not in names:
-            return None  # **model_kwargs or unknown keyword: not mechanical
-        if keyword.arg in bound:
-            return None
-        bound[keyword.arg] = keyword.value
-    if not all(name in bound for name in names[:4]):
-        return None
-    return bound
-
-
-def _rewrite_deprecated_calls(source: str, path: str) -> tuple[str, int]:
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return source, 0
-    comments = noqa_map(source)
-    starts = _offsets(source)
-    edits: list[tuple[int, int, str]] = []
-    needed: set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _call_name(node)
-        if name not in _DEPRECATED:
-            continue
-        comment = comments.get(node.lineno)
-        if comment is not None and comment.suppresses("RL010"):
-            continue
-        axis_fn, axis_value_name = _DEPRECATED[name]
-        bound = _wrapper_arguments(node, axis_value_name)
-        if bound is None:
-            continue
-
-        def segment(key: str) -> str | None:
-            expr = bound.get(key)
-            return None if expr is None else ast.get_source_segment(source, expr)
-
-        arrival = segment("arrival")
-        values = segment(axis_value_name)
-        probabilities = segment("bg_probabilities")
-        metric = segment("metric")
-        if None in (arrival, values, probabilities, metric):
-            continue
-        service = segment("service_rate")
-        if service is None:
-            service = "SERVICE_RATE_PER_MS"
-            needed.add("SERVICE_RATE_PER_MS")
-        needed.update({"sweep_many", axis_fn, "FgBgModel"})
-        replacement = (
-            f"sweep_many(FgBgModel(arrival={arrival}, "
-            f"service_rate={service}, bg_probability=0.0), "
-            f"{axis_fn}({values}), {metric}, {probabilities})"
-        )
-        begin = _abs_offset(starts, node.lineno, node.col_offset)
-        end = _abs_offset(starts, node.end_lineno or node.lineno, node.end_col_offset or 0)
-        edits.append((begin, end, replacement))
-    if not edits:
-        return source, 0
-    for begin, end, replacement in sorted(edits, reverse=True):
-        source = source[:begin] + replacement + source[end:]
-    source = _ensure_imports(source, path, needed)
-    source = _drop_unused_deprecated_imports(source, path)
-    return source, len(edits)
-
-
-_IMPORT_LINES = {
-    "FgBgModel": "from repro.core import FgBgModel",
-    "SERVICE_RATE_PER_MS": "from repro.workloads.paper import SERVICE_RATE_PER_MS",
-    "sweep_many": "from repro.experiments.sweeps import sweep_many",
-    "utilization_axis": "from repro.experiments.sweeps import utilization_axis",
-    "idle_wait_axis": "from repro.experiments.sweeps import idle_wait_axis",
-}
 
 
 def _bound_names(tree: ast.Module) -> set[str]:
@@ -276,43 +161,27 @@ def _bound_names(tree: ast.Module) -> set[str]:
     return bound
 
 
-def _ensure_imports(source: str, path: str, needed: set[str]) -> str:
+def _ensure_env_imports(source: str, path: str, needed: set[str]) -> str:
+    """Import the ``repro._env`` accessors in ``needed`` that are unbound."""
     if not needed:
         return source
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError:
         return source
-    missing = sorted(needed - _bound_names(tree))
-    if not missing:
-        return source
-    sweeps_names = [
-        name
-        for name in ("sweep_many", "utilization_axis", "idle_wait_axis")
-        if name in missing
-    ]
-    env_names = [
+    missing = [
         name
         for name in ("repro_env", "repro_env_required")
-        if name in missing
+        if name in needed - _bound_names(tree)
     ]
-    lines: list[str] = []
-    if env_names:
-        lines.append(f"from repro._env import {', '.join(env_names)}")
-    if "FgBgModel" in missing:
-        lines.append(_IMPORT_LINES["FgBgModel"])
-    if sweeps_names:
-        lines.append(
-            f"from repro.experiments.sweeps import {', '.join(sweeps_names)}"
-        )
-    if "SERVICE_RATE_PER_MS" in missing:
-        lines.append(_IMPORT_LINES["SERVICE_RATE_PER_MS"])
+    if not missing:
+        return source
     last_import_end = 0
     for stmt in tree.body:
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):
             last_import_end = stmt.end_lineno or stmt.lineno
     source_lines = source.splitlines(keepends=True)
-    insertion = "".join(f"{line}\n" for line in lines)
+    insertion = f"from repro._env import {', '.join(missing)}\n"
     if last_import_end == 0:
         # No imports yet: insert after a module docstring if present.
         docstring_end = 0
@@ -330,50 +199,6 @@ def _ensure_imports(source: str, path: str, needed: set[str]) -> str:
     prefix = "".join(source_lines[:last_import_end])
     suffix = "".join(source_lines[last_import_end:])
     return f"{prefix}{insertion}{suffix}"
-
-
-def _drop_unused_deprecated_imports(source: str, path: str) -> str:
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return source
-    used: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-    starts = _offsets(source)
-    edits: list[tuple[int, int, str]] = []
-    for stmt in tree.body:
-        if not isinstance(stmt, ast.ImportFrom):
-            continue
-        dead = [
-            alias
-            for alias in stmt.names
-            if alias.name in _DEPRECATED and (alias.asname or alias.name) not in used
-        ]
-        if not dead:
-            continue
-        keep = [alias for alias in stmt.names if alias not in dead]
-        begin = _abs_offset(starts, stmt.lineno, stmt.col_offset)
-        end_line = stmt.end_lineno or stmt.lineno
-        end = _abs_offset(starts, end_line, stmt.end_col_offset or 0)
-        if not keep:
-            # Swallow the trailing newline with the statement.
-            if end < len(source) and source[end] == "\n":
-                end += 1
-            edits.append((begin, end, ""))
-        else:
-            rendered = ", ".join(
-                alias.name if alias.asname is None else f"{alias.name} as {alias.asname}"
-                for alias in keep
-            )
-            module = "." * stmt.level + (stmt.module or "")
-            edits.append((begin, end, f"from {module} import {rendered}"))
-    for begin, end, replacement in sorted(edits, reverse=True):
-        source = source[:begin] + replacement + source[end:]
-    return source
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +417,7 @@ def _rewrite_env_reads(source: str, path: str) -> tuple[str, int]:
         last_end = end
     for begin, end, replacement in sorted(pruned, reverse=True):
         source = source[:begin] + replacement + source[end:]
-    source = _ensure_imports(source, path, needed)
+    source = _ensure_env_imports(source, path, needed)
     return source, len(pruned)
 
 
@@ -618,7 +443,6 @@ def fix_paths(
             new_source, n_noqa = _apply_noqa_fixes(
                 source, _stale_noqa_codes(project, path)
             )
-            new_source, n_calls = _rewrite_deprecated_calls(new_source, path)
             new_source, n_locks = _wrap_lock_try_finally(new_source, path)
             new_source, n_env = _rewrite_env_reads(new_source, path)
             if new_source != source:
@@ -626,7 +450,6 @@ def fix_paths(
                 outcome.fixes[path] = (
                     outcome.fixes.get(path, 0)
                     + n_noqa
-                    + n_calls
                     + n_locks
                     + n_env
                 )

@@ -23,13 +23,12 @@ class BadCertifiedProcess:
         object.__setattr__(self, "_generator_validated", True)
 
 
-def warm_solve(seed):
+def hand_solve():
     a0 = np.zeros((2, 2))
     a1 = np.diag([-1.0, -1.0])
     a2 = np.eye(2)
-    initial_r = np.asarray(seed, dtype=float)
     # RL006: hand-assembled writable blocks under blocks_validated=True.
-    return r_matrix(a0, a1, a2, blocks_validated=True, initial_r=initial_r)
+    return r_matrix(a0, a1, a2, blocks_validated=True)
 
 
 def _freeze_if(array, flag):

@@ -50,13 +50,11 @@ class HelperFrozenProcess:
         object.__setattr__(self, "_generator_validated", True)
 
 
-def frozen_warm_solve(seed):
+def frozen_solve():
     a0 = np.zeros((2, 2))
     a1 = np.diag([-1.0, -1.0])
     a2 = np.eye(2)
     a0.setflags(write=False)
     a1.setflags(write=False)
     a2.setflags(write=False)
-    initial_r = np.asarray(seed, dtype=float)
-    initial_r.setflags(write=False)
-    return r_matrix(a0, a1, a2, blocks_validated=True, initial_r=initial_r)
+    return r_matrix(a0, a1, a2, blocks_validated=True)

@@ -27,6 +27,7 @@ def straight_solve(a0, a1, a2):
 
 
 def deliberate_vec_trick(a1, a2, r, eye):
-    # The Newton Frechet derivative builds (B.T kron A); the transpose is
-    # the vec identity, not a QBD block -- waived per convention.
+    # A Frechet derivative built by the vec trick uses (B.T kron A); the
+    # transpose is the vec identity, not a QBD block -- waived per
+    # convention.
     return np.kron(a2.T, r)  # noqa: RL016 -- vec-trick: vec(AXB) = (B.T kron A) vec(X)

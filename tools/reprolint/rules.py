@@ -39,12 +39,6 @@ RL006
     read-only on all paths (``setflags(write=False)``) makes the
     contract layer skip re-validation of data that can still mutate --
     the exact bug class CLAUDE.md warns silently corrupts every solve.
-    A warm-start seed (``initial_r=``) built locally and still writable
-    is flagged when it rides in under such a certificate.
-RL010
-    Call of a deprecated sweep entry point (``load_sweep_series`` /
-    ``idle_wait_sweep_series``); mechanically rewritable to
-    ``sweep_many`` over the matching axis (``--fix`` applies it).
 RL012
     Lifecycle-gate bypass.  ``_to()`` is the *only* place a job's state
     may change (that is what makes :data:`TRANSITIONS` unbypassable);
@@ -99,7 +93,6 @@ RULE_SUMMARIES = {
     "RL007": "public entry point without contract coverage or waiver",
     "RL008": "unit mismatch between argument and parameter across a call site",
     "RL009": "stale # noqa suppression, or one missing its '-- reason' trailer",
-    "RL010": "call of a deprecated sweep API (load/idle_wait_sweep_series)",
     "RL011": "solver entry point mutates a parameter array (possibly via a callee)",
     "RL012": "job state/terminal timestamp written outside the _to() lifecycle gate",
     "RL013": "durable write without tmp+os.replace, or unprotected O_EXCL lock fd",
@@ -642,7 +635,7 @@ def rl006_certificate_soundness(tree: ast.AST, path: str) -> Iterator[Violation]
                 ):
                     suspect.append(name)
             for kw, facts in call.kw_facts.items():
-                if kw not in (*_CERTIFIED_BLOCK_KWARGS, "initial_r"):
+                if kw not in _CERTIFIED_BLOCK_KWARGS:
                     continue
                 name = call.kw_names.get(kw)
                 if (
@@ -651,7 +644,7 @@ def rl006_certificate_soundness(tree: ast.AST, path: str) -> Iterator[Violation]
                     and dataflow.ARRAY in facts
                     and dataflow.READONLY not in facts
                 ):
-                    suspect.append(f"{kw}={name}" if kw == "initial_r" else name)
+                    suspect.append(name)
             if suspect:
                 names = ", ".join(sorted(set(suspect)))
                 yield Violation(
@@ -672,37 +665,6 @@ def self_kw_value(call: ast.Call, name: str) -> ast.expr | None:
         if keyword.arg == name:
             return keyword.value
     return None
-
-
-_DEPRECATED_SWEEP_CALLS = {
-    "load_sweep_series": "sweep_many(base_model, utilization_axis(...), metric, ...)",
-    "idle_wait_sweep_series": "sweep_many(base_model, idle_wait_axis(...), metric, ...)",
-}
-
-
-def rl010_deprecated_sweep_api(tree: ast.AST, path: str) -> Iterator[Violation]:
-    """RL010: call sites of the deprecated pre-engine sweep entry points."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = (
-            func.id
-            if isinstance(func, ast.Name)
-            else func.attr
-            if isinstance(func, ast.Attribute)
-            else None
-        )
-        if name in _DEPRECATED_SWEEP_CALLS:
-            yield Violation(
-                path,
-                node.lineno,
-                node.col_offset,
-                "RL010",
-                f"{name} was removed from repro.experiments.sweeps; use "
-                f"{_DEPRECATED_SWEEP_CALLS[name]} instead "
-                "(mechanical rewrite available via --fix)",
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -1353,7 +1315,6 @@ FILE_RULES = (
     rl004_suppression_near_nan_guard,
     rl005_stationary_on_phase_sum,
     rl006_certificate_soundness,
-    rl010_deprecated_sweep_api,
     rl012_lifecycle_gate_bypass,
     rl013_durable_write_discipline,
     rl014_exception_laundering,

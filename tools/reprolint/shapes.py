@@ -306,7 +306,6 @@ _BLOCK_TRIPLE_SINKS = frozenset(
         "r_matrix",
         "batched_r_matrix",
         "r_matrix_functional_iteration",
-        "r_matrix_newton",
         "r_matrix_logarithmic_reduction",
         "r_matrix_natural_iteration",
         "g_matrix_logarithmic_reduction",
