@@ -174,10 +174,17 @@ def g_matrix_mg1(
     repeating_blocks: tuple[np.ndarray, ...],
     tol: float = 1e-12,
     max_iter: int = 200_000,
+    stochastic: bool = False,
 ) -> np.ndarray:
     """Minimal solution of ``A0 + A1 G + A2 G^2 + ... = 0``.
 
     Monotone natural iteration ``G <- (-A1)^{-1} (A0 + sum_{k>=2} A_k G^k)``.
+    The iterates increase entrywise to ``G``.  By default the iteration
+    stops once a step changes no entry by ``tol``; when the iteration
+    contracts slowly that leaves an error far above ``tol``.  Pass
+    ``stochastic=True`` for a positive recurrent chain, whose ``G`` is
+    stochastic: the iteration then stops once every row sum is within
+    ``tol`` of one, which bounds the remaining error itself.
     """
     a_blocks = [np.asarray(a, dtype=float) for a in repeating_blocks]
     m = a_blocks[0].shape[0]
@@ -192,6 +199,8 @@ def g_matrix_mg1(
         g_next = inv_neg_a1 @ acc
         delta = float(np.max(np.abs(g_next - g)))
         g = g_next
+        if stochastic:
+            delta = float(np.max(np.abs(1.0 - g.sum(axis=1))))
         if delta < tol:
             return g
     raise QBDConvergenceError(
@@ -274,7 +283,7 @@ def solve_mg1(
     a_blocks = process.repeating_blocks
     b_blocks = process.boundary_blocks
     c = process.down_block
-    g = g_matrix_mg1(a_blocks, tol=tol)
+    g = g_matrix_mg1(a_blocks, tol=tol, stochastic=True)
 
     # Censored sums Abar_k = sum_{j>=k} A_j G^{j-k} for k = 1..K and the
     # analogous Bbar_k; beyond the highest explicit block they are zero.
@@ -313,7 +322,8 @@ def solve_mg1(
         b_term = bbar_at(n)
         if b_term is not None:
             acc_vec += pi0 @ b_term
-        for k in range(1, n):
+        # Abar_j vanishes for j >= k_a, so only the last k_a - 2 levels feed in.
+        for k in range(max(1, n - k_a + 2), n):
             a_term = abar_at(n - k + 1)
             if a_term is not None:
                 acc_vec += levels[k - 1] @ a_term
