@@ -227,10 +227,12 @@ class SweepEngine:
     ) -> list[FgBgSolution | None]:
         """Serve ``models`` in order: dedupe, cache, cold solve, record.
 
-        Fresh solutions populate the cache as ``solve_misses`` yields
-        them.  The first model of each solved key is recorded as a fresh
-        solve, its duplicates as cache hits; failed points (``None``
-        slots) get no :class:`~repro.engine.stats.SolveRecord` -- their
+        Fresh solutions populate the cache and are recorded as fresh
+        solves as ``solve_misses`` yields them, so a call cut short by a
+        failure or a cancel keeps the records of the points it solved.
+        Cache hits and duplicates of a solved key are recorded as hits
+        once the whole call is served.  Failed points (``None`` slots) get
+        no :class:`~repro.engine.stats.SolveRecord` -- their
         :class:`~repro.engine.resilience.FailedSolve` is the record.
         """
         self._check_cancelled()
@@ -238,32 +240,41 @@ class SweepEngine:
         fingerprints = [model.fingerprint() for model in points]
         keys = [solve_key(fp, self.algorithm, self.tol) for fp in fingerprints]
         served: dict[str, FgBgSolution | None] = {}
-        misses: dict[str, FgBgModel] = {}
+        misses: dict[str, tuple[FgBgModel, str]] = {}
         for model, fingerprint, key in zip(points, fingerprints, keys):
             if key in served or key in misses:
                 continue
             cached = self._cache_lookup(key, fingerprint)
             if cached is None:
-                misses[key] = model
+                misses[key] = (model, fingerprint)
             else:
                 served[key] = cached
-        for key, solution in zip(misses, solve_misses(list(misses.values()))):
-            if solution is not None and self.cache is not None:
-                self.cache.put(key, solution)
-            served[key] = solution
-        fresh = set(misses)
-        results: list[FgBgSolution | None] = []
-        for fingerprint, key in zip(fingerprints, keys):
-            solution = served[key]
+        miss_models = [model for model, _ in misses.values()]
+        for key, solution in zip(misses, solve_misses(miss_models)):
             if solution is not None:
+                if self.cache is not None:
+                    self.cache.put(key, solution)
                 self.stats.add(
                     SolveRecord(
-                        fingerprint,
-                        cache_hit=key not in fresh,
+                        misses[key][1],
+                        cache_hit=False,
                         stats=solution.solve_stats,
                     )
                 )
-            fresh.discard(key)
+            served[key] = solution
+        # The first point of each solved key is already recorded above.
+        first_of_miss = set(misses)
+        results: list[FgBgSolution | None] = []
+        for fingerprint, key in zip(fingerprints, keys):
+            solution = served[key]
+            if key in first_of_miss:
+                first_of_miss.discard(key)
+            elif solution is not None:
+                self.stats.add(
+                    SolveRecord(
+                        fingerprint, cache_hit=True, stats=solution.solve_stats
+                    )
+                )
             results.append(solution)
         self._tick(len(points) - len(misses))
         return results

@@ -26,12 +26,11 @@ The repository enforces the same thing unconditionally: a stale-epoch
 write raises ``StaleJobError`` no matter what the writer checked.
 
 Chaos hook: the ``worker_kill`` fault point fires at the top of
-:meth:`execute`, SIGKILLing the worker process mid-job exactly like the
-engine's chain workers die -- the requeue tests drive it via
-``REPRO_FAULTS=worker_kill:...``.  The in-process chaos soak instead
-injects deaths through its *runner* (see ``runner=`` below), which
-raises :class:`~repro.faults.InjectedKill` through the worker like a
-SIGKILL tears through the process.
+:meth:`execute`, SIGKILLing the worker process mid-job -- the requeue
+tests drive it via ``REPRO_FAULTS=worker_kill:...``.  The in-process
+chaos soak instead injects deaths through its *runner* (see ``runner=``
+below), which raises :class:`~repro.faults.InjectedKill` through the
+worker like a SIGKILL tears through the process.
 """
 
 from __future__ import annotations

@@ -174,17 +174,16 @@ def g_matrix_mg1(
     repeating_blocks: tuple[np.ndarray, ...],
     tol: float = 1e-12,
     max_iter: int = 200_000,
-    stochastic: bool = False,
 ) -> np.ndarray:
     """Minimal solution of ``A0 + A1 G + A2 G^2 + ... = 0``.
 
     Monotone natural iteration ``G <- (-A1)^{-1} (A0 + sum_{k>=2} A_k G^k)``.
-    The iterates increase entrywise to ``G``.  By default the iteration
-    stops once a step changes no entry by ``tol``; when the iteration
-    contracts slowly that leaves an error far above ``tol``.  Pass
-    ``stochastic=True`` for a positive recurrent chain, whose ``G`` is
-    stochastic: the iteration then stops once every row sum is within
-    ``tol`` of one, which bounds the remaining error itself.
+    The chain must be positive recurrent (negative drift, as
+    :func:`solve_mg1` checks): then ``G`` is stochastic and the iterates
+    increase entrywise to it, so the largest row-sum gap
+    ``max |1 - rowsum(G_k)|`` is the remaining error in the infinity norm.
+    The iteration stops once that gap is below ``tol``.  (A step-size rule
+    would stop far short of ``tol`` when the iteration contracts slowly.)
     """
     a_blocks = [np.asarray(a, dtype=float) for a in repeating_blocks]
     m = a_blocks[0].shape[0]
@@ -196,16 +195,13 @@ def g_matrix_mg1(
         for a in a_blocks[2:]:
             acc = acc + a @ power
             power = power @ g
-        g_next = inv_neg_a1 @ acc
-        delta = float(np.max(np.abs(g_next - g)))
-        g = g_next
-        if stochastic:
-            delta = float(np.max(np.abs(1.0 - g.sum(axis=1))))
-        if delta < tol:
+        g = inv_neg_a1 @ acc
+        gap = float(np.max(np.abs(1.0 - g.sum(axis=1))))
+        if gap < tol:
             return g
     raise QBDConvergenceError(
         f"M/G/1 G iteration did not converge in {max_iter} iterations "
-        f"(last delta {delta:.3g}); is the chain stable?"
+        f"(last row-sum gap {gap:.3g}); is the chain stable?"
     )
 
 
@@ -283,7 +279,7 @@ def solve_mg1(
     a_blocks = process.repeating_blocks
     b_blocks = process.boundary_blocks
     c = process.down_block
-    g = g_matrix_mg1(a_blocks, tol=tol, stochastic=True)
+    g = g_matrix_mg1(a_blocks, tol=tol)
 
     # Censored sums Abar_k = sum_{j>=k} A_j G^{j-k} for k = 1..K and the
     # analogous Bbar_k; beyond the highest explicit block they are zero.

@@ -191,6 +191,38 @@ class TestHooks:
             engine.run_chain(models(4))
         assert sum(done) < 4
 
+    def test_cancel_keeps_records_of_points_already_solved(self):
+        done = []
+
+        def cancel_after_two():
+            return sum(done) >= 2
+
+        cache = SolveCache()
+        engine = SweepEngine(
+            cache=cache, progress=done.append, cancel=cancel_after_two
+        )
+        with pytest.raises(SweepCancelled):
+            engine.run_chain(models(4))
+        assert engine.stats.solver_calls == 2
+        assert engine.stats.solves == 2
+        assert len(cache) == 2
+
+    def test_raise_keeps_records_of_points_already_solved(self, monkeypatch):
+        real_solve = FgBgModel.solve
+        calls = []
+
+        def solve_then_fail(self, *args, **kwargs):
+            calls.append(self)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("boundary system is singular")
+            return real_solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(FgBgModel, "solve", solve_then_fail)
+        engine = SweepEngine()
+        with pytest.raises(np.linalg.LinAlgError):
+            engine.run_chain(models(4))
+        assert engine.stats.solver_calls == 2
+
     def test_cancel_never_becomes_a_nan_point(self):
         """SweepCancelled must not be swallowed by on_error isolation."""
         engine = SweepEngine(on_error="collect", cancel=lambda: True)
